@@ -17,11 +17,6 @@ Usage::
     python -m repro.experiments 1 --batch-size 8   # coalesce compatible
                                                    # queries into stacked
                                                    # batched propagations
-    python -m repro.experiments 1 --workers 2 --supervised
-                                                   # leased worker fleet:
-                                                   # heartbeats, requeue,
-                                                   # poison quarantine,
-                                                   # SIGTERM drain
     python -m repro.experiments report --check     # join BENCH_*.json into
                                                    # REPORT.md; exit 1 on
                                                    # any regression gate
@@ -31,7 +26,9 @@ Usage::
                                                    # quick-start")
 
 ``--workers N`` fans the certification queries of every radius report
-across N worker processes (N=0 keeps the classic serial path);
+across a supervised fleet of N leased worker processes — heartbeats,
+requeue on worker death, poison quarantine to the IBP floor, graceful
+drain on SIGTERM (N=0 keeps the classic serial path);
 ``--batch-size N`` instead coalesces up to N compatible queries into one
 stacked batched propagation per search round (single-process, best on
 compact dispatch-bound models — see DESIGN.md §12); the certified radii
@@ -78,10 +75,8 @@ def _build_parser():
         help="certification-query worker processes (0 = serial, default)")
     parser.add_argument(
         "--supervised", action="store_true",
-        help="with --workers N: use the supervised leased worker pool "
-             "(heartbeats, requeue-on-death, poison quarantine, graceful "
-             "SIGTERM drain) instead of the fire-and-forget fork pool; "
-             "with serve: run service execution on the supervised pool")
+        help="accepted for compatibility; implied by --workers N, which "
+             "always runs the supervised leased worker pool")
     parser.add_argument(
         "--drain-timeout", type=float, default=30.0, metavar="SECONDS",
         help="graceful-drain deadline after SIGTERM (or POST /drain): "
@@ -97,9 +92,6 @@ def _build_parser():
     parser.add_argument(
         "--cache-dir", default=None, metavar="PATH",
         help="memoize completed queries in PATH (implies --cache)")
-    parser.add_argument(
-        "--timeout", type=float, default=None, metavar="SECONDS",
-        help="per-query worker timeout before retry/in-process fallback")
     parser.add_argument(
         "--journal", default=None, metavar="PATH",
         help="append completed query outcomes to a crash-safe JSONL "
@@ -165,9 +157,8 @@ def _serve(args):
         journal_path = default_journal_path()
     if args.trace_dir:
         TRACER.enable()  # tracer-backed /result progress
-    config = ServiceConfig(
-        workers=args.workers if args.supervised else 0,
-        drain_timeout=args.drain_timeout)
+    config = ServiceConfig(workers=args.workers,
+                           drain_timeout=args.drain_timeout)
     service = CertService(model, config=config, cache_dir=cache_dir,
                           journal_path=journal_path, resume=args.resume)
 
@@ -242,11 +233,10 @@ def main(argv=None):
     cache_dir = args.cache_dir or (default_cache_dir() if args.cache
                                    else None)
     scheduler = configure(workers=args.workers, cache_dir=cache_dir,
-                          timeout=args.timeout, journal_path=args.journal,
-                          resume=args.resume, batch_size=args.batch_size,
-                          supervised=args.supervised,
+                          journal_path=args.journal, resume=args.resume,
+                          batch_size=args.batch_size,
                           drain_timeout=args.drain_timeout)
-    if args.supervised:
+    if args.workers:
         # SIGTERM drains the supervised run instead of killing it: the
         # in-flight leases finish (journaled), the rest is left for a
         # --resume restart, and the process exits 0.
@@ -263,8 +253,7 @@ def main(argv=None):
     if verbose:
         journal_path = scheduler.journal.path if scheduler.journal \
             else "off"
-        print(f"scheduler: workers={args.workers}"
-              f"{' (supervised)' if args.supervised else ''}, "
+        print(f"scheduler: workers={args.workers}, "
               f"batch_size={args.batch_size}, "
               f"cache={cache_dir or 'off'}, journal={journal_path}"
               f"{' (resume)' if args.resume else ''}")
@@ -296,8 +285,7 @@ def main(argv=None):
               f"(journaled), {len(drained.remaining)} left for --resume")
         return 0
     finally:
-        if args.supervised:
-            scheduler.close()
+        scheduler.close()
         if args.trace_dir:
             TRACER.disable()
             TRACER.reset()

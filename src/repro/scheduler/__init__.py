@@ -2,13 +2,16 @@
 
 The paper's protocol certifies a maximal radius per (sentence, position,
 norm, verifier variant) by binary search — independent queries that this
-package expands (:mod:`~repro.scheduler.queries`), fans across a fork
-worker pool with timeout/retry/fallback
-(:mod:`~repro.scheduler.scheduler`), and memoizes on disk keyed by model
-weights, corpus fingerprint and query config
-(:mod:`~repro.scheduler.cache`). The experiment harness submits every
-radius report through the process-wide default scheduler; ``python -m
-repro.experiments --workers N [--cache]`` configures it from the CLI.
+package expands (:mod:`~repro.scheduler.queries`), runs in-process or on a
+supervised fleet of leased workers (:mod:`~repro.scheduler.scheduler`,
+:mod:`~repro.scheduler.pool`), answers with one record type and commits
+through one writer (:mod:`~repro.scheduler.outcome`), and memoizes on
+disk keyed by model weights, corpus fingerprint and query config
+(:mod:`~repro.scheduler.cache`). Queries move down the QoS ladder by one
+rule (:mod:`~repro.scheduler.rungs`). The experiment harness submits
+every radius report through the process-wide default scheduler;
+``python -m repro.experiments --workers N [--cache]`` configures it from
+the CLI.
 """
 
 from .queries import (CertQuery, model_weight_hash, corpus_fingerprint,
@@ -16,9 +19,9 @@ from .queries import (CertQuery, model_weight_hash, corpus_fingerprint,
                       expand_word_queries)
 from .cache import ResultCache, default_cache_dir
 from .journal import RunJournal, default_journal_path
-from .pool import (DrainedRun, PoisonedQueryError, PoolResult,
-                   WorkerSupervisor)
-from .scheduler import QueryOutcome, CertScheduler, merge_outcome_perf
+from .outcome import QueryOutcome
+from .pool import DrainedRun, PoisonedQueryError, WorkerSupervisor
+from .scheduler import CertScheduler, merge_outcome_perf
 from .worker import execute_query
 
 __all__ = [
@@ -26,7 +29,7 @@ __all__ = [
     "verifier_config_items", "positions_for", "expand_word_queries",
     "ResultCache", "default_cache_dir",
     "RunJournal", "default_journal_path",
-    "WorkerSupervisor", "PoolResult", "PoisonedQueryError", "DrainedRun",
+    "WorkerSupervisor", "PoisonedQueryError", "DrainedRun",
     "QueryOutcome", "CertScheduler", "merge_outcome_perf",
     "execute_query",
     "get_default_scheduler", "set_default_scheduler", "configure",
@@ -54,9 +57,8 @@ def set_default_scheduler(scheduler):
     return scheduler
 
 
-def configure(workers=0, cache_dir=None, timeout=None, journal_path=None,
-              resume=False, batch_size=1, supervised=False,
-              lease_timeout=None, drain_timeout=30.0):
+def configure(workers=0, cache_dir=None, journal_path=None, resume=False,
+              batch_size=1, lease_timeout=None, drain_timeout=30.0):
     """Install a fresh default scheduler from knob values; returns it.
 
     ``journal_path`` enables the crash-safe run journal there (``resume``
@@ -64,20 +66,15 @@ def configure(workers=0, cache_dir=None, timeout=None, journal_path=None,
     truncated for a fresh run). ``resume`` alone journals at the default
     :func:`default_journal_path`. ``batch_size > 1`` coalesces compatible
     queries into stacked batched propagations (see
-    :class:`CertScheduler`). ``supervised=True`` (with ``workers > 0``)
-    swaps the fork pool for the leased, heartbeat-monitored
-    :class:`WorkerSupervisor`; ``lease_timeout`` / ``drain_timeout``
-    tune its liveness and graceful-drain deadlines.
+    :class:`CertScheduler`). ``workers > 0`` runs misses on the leased,
+    heartbeat-monitored :class:`WorkerSupervisor`; ``lease_timeout`` /
+    ``drain_timeout`` tune its liveness and graceful-drain deadlines.
     """
     journal = None
     if journal_path or resume:
         journal = RunJournal(journal_path or default_journal_path(),
                              resume=resume)
-    return set_default_scheduler(CertScheduler(workers=workers,
-                                               cache_dir=cache_dir,
-                                               timeout=timeout,
-                                               journal=journal,
-                                               batch_size=batch_size,
-                                               supervised=supervised,
-                                               lease_timeout=lease_timeout,
-                                               drain_timeout=drain_timeout))
+    return set_default_scheduler(CertScheduler(
+        workers=workers, cache_dir=cache_dir, journal=journal,
+        batch_size=batch_size, lease_timeout=lease_timeout,
+        drain_timeout=drain_timeout))

@@ -1,9 +1,9 @@
 """Supervised multi-process execution pool: leases, heartbeats, quarantine.
 
-The PR-2 fork pool is fire-and-forget: a worker that dies or wedges is
-only noticed when its per-query timeout expires, and a query that
-*reliably* kills its worker re-kills a fresh worker on every retry. This
-module replaces that engine with a supervised fleet:
+The scheduler's only multi-process engine (``workers > 0``): a
+supervised fleet, rather than a fire-and-forget pool that notices a dead
+or wedged worker only when a per-query timeout expires and lets a query
+that *reliably* kills its worker re-kill a fresh one on every retry.
 
 * :class:`WorkerSupervisor` owns N long-lived worker processes (fork
   context — the model is inherited, never pickled), each connected by a
@@ -24,10 +24,11 @@ module replaces that engine with a supervised fleet:
 * A query whose singleton lease kills its worker ``poison_threshold``
   times (default 2) is **poisoned**: quarantined in a per-query circuit
   breaker and answered in-process from the PR-3 ladder's IBP floor under
-  an explicitly rewritten query (``verifier="ibp"``) — sound by
-  construction (IBP never flips uncertified to certified) and journaled/
-  cached only under the rewritten key, so the looser radius can never
-  impersonate the full-precision answer. The typed
+  the query rewritten by :func:`~repro.scheduler.rungs.degrade_query`
+  (the outcome's ``executed_query``) — sound by construction (IBP never
+  flips uncertified to certified) and journaled/cached only under the
+  rewritten key, so the looser radius can never impersonate the
+  full-precision answer. The typed
   :class:`PoisonedQueryError` detail travels in the outcome's ``fault``
   field. Coalesced (multi-query) leases that die are split back into
   singleton leases first, so a poison member kills alone and innocent
@@ -60,9 +61,10 @@ from ..faults import (KILL_EXIT_CODE, fault_lease_directives,
                       fault_spawn_directive)
 from ..perf import PERF
 from ..trace import TRACER
+from .outcome import QueryOutcome
+from .rungs import degrade_query, rung_for_query
 
-__all__ = ["WorkerSupervisor", "PoolResult", "PoisonedQueryError",
-           "DrainedRun"]
+__all__ = ["WorkerSupervisor", "PoisonedQueryError", "DrainedRun"]
 
 
 class PoisonedQueryError(RuntimeError):
@@ -85,7 +87,7 @@ class PoisonedQueryError(RuntimeError):
 class DrainedRun(RuntimeError):
     """A supervised run stopped by graceful drain.
 
-    ``completed`` holds the :class:`PoolResult` records that committed
+    ``completed`` holds the :class:`QueryOutcome` records that committed
     before the drain (each already delivered through ``on_result``, so a
     journaling caller has them durably recorded); ``remaining`` the
     queries left for a ``--resume`` restart.
@@ -97,37 +99,6 @@ class DrainedRun(RuntimeError):
         super().__init__(
             f"drained: {len(self.completed)} completed, "
             f"{len(self.remaining)} left for --resume")
-
-
-@dataclasses.dataclass(frozen=True)
-class PoolResult:
-    """One committed supervised-pool answer.
-
-    ``executed_query`` differs from ``query`` only for poisoned results,
-    where it is the IBP-rewritten twin that actually ran — the key the
-    answer may be cached and journaled under.
-    """
-
-    index: int
-    query: object
-    executed_query: object
-    radius: float
-    seconds: float
-    perf: dict | None
-    meta: dict
-    source: str          # "worker" | "worker-retry" | "poisoned" | "inprocess"
-    attempts: int
-    poisoned: bool = False
-
-
-def _rung(query):
-    """The QoS rung a query sits at (for poisoned fallback chains)."""
-    if query.verifier == "ibp":
-        return "ibp"
-    if query.verifier == "deept" \
-            and dict(query.config).get("dot_product_variant") == "fast":
-        return "fast"
-    return "full"
 
 
 # --------------------------------------------------------------- worker side
@@ -185,8 +156,7 @@ def _worker_main(conn, model, worker_id, heartbeat_interval,
     # blamed on the query it would have received.
     send(("ready", None, None))
     # Resolve execute_query through the module at call time so a
-    # monkeypatch installed before the fork is honoured (mirrors the
-    # legacy pool's behaviour, which tests rely on).
+    # monkeypatch installed before the fork is honoured.
     from . import worker as worker_mod
 
     while True:
@@ -315,7 +285,7 @@ class WorkerSupervisor:
         self._lease_seq = 0
         self._kill_counts = {}
         self._poisoned = {}        # key -> PoisonedQueryError message
-        self._poison_memo = {}     # key -> committed poisoned PoolResult
+        self._poison_memo = {}     # key -> committed poisoned QueryOutcome
         self._drain = threading.Event()
         self._started = False
         self.drain_seconds = None
@@ -390,48 +360,49 @@ class WorkerSupervisor:
 
     # ------------------------------------------------------------------- run
     def run(self, queries, *, coalesce=False, on_result=None):
-        """Execute ``queries``; returns :class:`PoolResult` in input order.
+        """Execute ``queries``; returns :class:`QueryOutcome` in input order.
 
         ``coalesce=True`` leases all queries as one batched execution
         (the caller guarantees batch-key compatibility); a batch lease
         that dies is split into singleton leases on requeue.
-        ``on_result`` fires once per committed result, in completion
-        order — the journaling hook that makes commitment at-most-once
-        durable. Raises :class:`DrainedRun` if a drain request lands
-        mid-run.
+        ``on_result(index, outcome)`` fires once per committed result, in
+        completion order — the journaling hook that makes commitment
+        at-most-once durable. Raises :class:`DrainedRun` if a drain
+        request lands mid-run.
         """
         self.start()
         queries = list(queries)
         results = [None] * len(queries)
         state = {"remaining": len(queries)}
 
-        def commit(index, result):
+        def accept(index, outcome):
             if results[index] is not None:
                 self.stats["duplicate_results_dropped"] += 1
                 return
-            results[index] = result
+            results[index] = outcome
             state["remaining"] -= 1
             if on_result is not None:
-                on_result(result)
+                on_result(index, outcome)
+
+        def answer_inprocess(task):
+            for index, query in zip(task.indices, task.queries):
+                accept(index, QueryOutcome.from_payload(
+                    query, self._execute_inprocess(query), "inprocess",
+                    attempts=task.attempts))
 
         def poison_answer(index, query, task_attempts):
             key = query.key()
             memo = self._poison_memo.get(key)
             if memo is None:
-                twin = dataclasses.replace(query, verifier="ibp")
-                radius, seconds, perf, meta = self._execute_inprocess(twin)
-                chain = tuple(dict.fromkeys((_rung(query), "ibp")))
-                meta = dict(meta)
-                meta["degraded"] = True
-                meta["fallback_chain"] = chain
-                meta["fault"] = self._poisoned[key]
-                memo = (twin, radius, seconds, perf, meta)
+                twin = degrade_query(query, "ibp")
+                memo = QueryOutcome.from_payload(
+                    query, self._execute_inprocess(twin), "poisoned",
+                    executed_query=twin, degraded=True,
+                    fallback_chain=tuple(dict.fromkeys(
+                        (rung_for_query(query), "ibp"))),
+                    fault=self._poisoned[key])
                 self._poison_memo[key] = memo
-            twin, radius, seconds, perf, meta = memo
-            commit(index, PoolResult(
-                index=index, query=query, executed_query=twin,
-                radius=radius, seconds=seconds, perf=perf, meta=dict(meta),
-                source="poisoned", attempts=task_attempts, poisoned=True))
+            accept(index, dataclasses.replace(memo, attempts=task_attempts))
 
         def requeue_or_poison(task):
             if len(task.indices) > 1:
@@ -575,15 +546,7 @@ class WorkerSupervisor:
                     and all(slot.disabled for slot in self._slots):
                 self.stats["fallbacks"] += 1
                 while pending:
-                    task = pending.popleft()
-                    for index, query in zip(task.indices, task.queries):
-                        radius, seconds, perf, meta = \
-                            self._execute_inprocess(query)
-                        commit(index, PoolResult(
-                            index=index, query=query, executed_query=query,
-                            radius=radius, seconds=seconds, perf=perf,
-                            meta=meta, source="inprocess",
-                            attempts=task.attempts))
+                    answer_inprocess(pending.popleft())
                 continue
 
             if state["remaining"] <= 0:
@@ -610,7 +573,8 @@ class WorkerSupervisor:
                 try:
                     while conn.poll():
                         self._handle_message(slot, conn.recv(), active,
-                                             pending, commit)
+                                             pending, accept,
+                                             answer_inprocess)
                 except (EOFError, OSError):
                     handle_death(slot, time.monotonic())
 
@@ -629,7 +593,8 @@ class WorkerSupervisor:
         return self.run(queries, coalesce=len(queries) > 1)
 
     # --------------------------------------------------------------- helpers
-    def _handle_message(self, slot, message, active, pending, commit):
+    def _handle_message(self, slot, message, active, pending, accept,
+                        answer_inprocess):
         kind = message[0]
         if kind == "ready":
             slot.ready = True
@@ -655,11 +620,8 @@ class WorkerSupervisor:
             source = "worker" if task.attempts == 1 else "worker-retry"
             for index, query, payload in zip(task.indices, task.queries,
                                              message[2]):
-                radius, seconds, perf, meta = payload
-                commit(index, PoolResult(
-                    index=index, query=query, executed_query=query,
-                    radius=radius, seconds=seconds, perf=perf, meta=meta,
-                    source=source, attempts=task.attempts))
+                accept(index, QueryOutcome.from_payload(
+                    query, payload, source, attempts=task.attempts))
         elif kind == "error":
             # The worker survived but the engine raised: retry once on a
             # (possibly different) worker, then fall back in-process.
@@ -670,14 +632,7 @@ class WorkerSupervisor:
                 self.stats["requeued_leases"] += 1
                 pending.appendleft(task)
             else:
-                for index, query in zip(task.indices, task.queries):
-                    radius, seconds, perf, meta = \
-                        self._execute_inprocess(query)
-                    commit(index, PoolResult(
-                        index=index, query=query, executed_query=query,
-                        radius=radius, seconds=seconds, perf=perf,
-                        meta=meta, source="inprocess",
-                        attempts=task.attempts))
+                answer_inprocess(task)
 
     def _execute_inprocess(self, query):
         # Through the module attribute so monkeypatched engines (tests)

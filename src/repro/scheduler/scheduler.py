@@ -1,24 +1,24 @@
-"""The certification-query scheduler (fan-out, retry, fallback, memoize).
+"""The certification-query scheduler (fan-out, memoize, commit).
 
 :class:`CertScheduler` runs a flat list of
 :class:`~repro.scheduler.queries.CertQuery` records and returns one
-:class:`QueryOutcome` per query, *in input order* regardless of completion
-order. Execution strategy per run:
+:class:`~repro.scheduler.outcome.QueryOutcome` per query, *in input order*
+regardless of completion order. Execution strategy per run:
 
-1. every query is first looked up in the persistent result cache (when one
-   is configured) — hits never touch a worker;
-2. misses fan out across a ``multiprocessing`` fork pool of ``workers``
-   processes, each guarded by a per-query timeout, one retry, and a final
-   graceful fallback to in-process execution (also taken wholesale when
-   ``workers == 0``, when the platform lacks fork, or when the pool cannot
-   be created); with ``supervised=True`` the fire-and-forget pool is
-   replaced by the leased, heartbeat-monitored
-   :class:`~repro.scheduler.pool.WorkerSupervisor` (requeue on worker
-   death, poison-query quarantine to the IBP floor, graceful drain);
-3. completed misses are written back to the cache, and per-worker
-   ``repro.perf`` snapshots ride along on each outcome for the caller to
-   aggregate (:func:`merge_outcome_perf` — deterministic query-key order,
-   not completion order).
+1. every query is first looked up in the run journal and the persistent
+   result cache (when configured) — hits never touch a worker;
+2. misses run in-process (``workers == 0``, or when the platform lacks
+   fork or the fleet cannot be created), coalesced into stacked batched
+   propagations (``batch_size > 1``), or on the leased,
+   heartbeat-monitored :class:`~repro.scheduler.pool.WorkerSupervisor`
+   (``workers > 0``: requeue on worker death, poison-query quarantine to
+   the IBP floor, graceful drain);
+3. each outcome is committed through
+   :func:`~repro.scheduler.outcome.commit` the moment it completes —
+   cache and journal, under the key of the query that actually ran — and
+   per-worker ``repro.perf`` snapshots ride along on each outcome for the
+   caller to aggregate (:func:`merge_outcome_perf` — deterministic
+   query-key order, not completion order).
 
 Because :func:`~repro.scheduler.worker.execute_query` is a pure function of
 (weights, query), the radii are bitwise identical across all of these
@@ -28,47 +28,16 @@ paths; parallelism and caching change wall-clock time only.
 from __future__ import annotations
 
 import multiprocessing
-from dataclasses import dataclass
+import weakref
 
 from ..perf import PerfRecorder
 from ..trace import TRACER
 from .cache import ResultCache
-from .pool import DrainedRun, WorkerSupervisor
-from .worker import (_pool_init, _pool_run, execute_query,
-                     execute_query_batch)
+from .outcome import QueryOutcome, commit
+from .pool import WorkerSupervisor
+from .worker import execute_query, execute_query_batch
 
 __all__ = ["QueryOutcome", "CertScheduler", "merge_outcome_perf"]
-
-
-@dataclass(frozen=True)
-class QueryOutcome:
-    """Result of one scheduled query.
-
-    ``source`` records how the radius was obtained: ``"journal"`` (this
-    run's crash-recovery record), ``"cache"``, ``"worker"``,
-    ``"worker-retry"``, ``"batched"`` (a coalesced stacked propagation),
-    ``"poisoned"`` (a quarantined query answered from the IBP floor under
-    a rewritten key — always degraded, with the
-    ``PoisonedQueryError`` detail in ``fault``),
-    or ``"inprocess"`` (the serial path and every fallback). ``degraded`` is True when any certification of
-    the query's binary search fell down the verifier's precision ladder;
-    ``fallback_chain`` / ``fault`` carry the first such event's detail.
-
-    ``trace`` carries the query's certification-trace spans when
-    :data:`repro.trace.TRACER` was enabled during execution (empty for
-    cache/journal hits — traces are observability data and are not
-    persisted; rerun without the cache to trace a query).
-    """
-
-    query: object
-    radius: float
-    seconds: float
-    perf: dict | None
-    source: str
-    degraded: bool = False
-    fallback_chain: tuple = ()
-    fault: str = None
-    trace: tuple = ()
 
 
 def merge_outcome_perf(outcomes):
@@ -95,38 +64,33 @@ class CertScheduler:
     Parameters
     ----------
     workers:
-        Pool size; ``0`` keeps the classic serial in-process path.
-    supervised:
-        With ``workers > 0``, route misses through the
-        :class:`~repro.scheduler.pool.WorkerSupervisor` (long-lived leased
-        workers, heartbeat liveness, requeue-on-death, poison quarantine,
-        graceful drain) instead of the legacy fire-and-forget fork pool.
-        A query quarantined as poisoned is answered from the IBP floor
-        under an explicitly rewritten query and is journaled/cached only
-        under that rewritten key — the looser radius never impersonates
-        the original query. A drain request surfaces as
-        :class:`~repro.scheduler.pool.DrainedRun` out of :meth:`run`
-        (everything completed before the drain is already journaled).
+        ``0`` runs misses serially in-process; ``N > 0`` runs them on a
+        fleet of N leased workers (:class:`WorkerSupervisor`), started on
+        the first run and kept across runs until :meth:`close` — or until
+        the scheduler is garbage-collected. A query quarantined as
+        poisoned is answered from the IBP floor under an explicitly
+        rewritten query and is journaled/cached only under that rewritten
+        key — the looser radius never impersonates the original query. A
+        drain request surfaces as :class:`~repro.scheduler.pool.DrainedRun`
+        out of :meth:`run` (everything completed before the drain is
+        already journaled and cached).
     lease_timeout:
-        Supervised mode: seconds a lease may go without *progress* before
-        its worker is declared hung and killed (``None`` → 30).
+        Seconds a lease may go without *progress* before its worker is
+        declared hung and killed (``None`` → 30).
     drain_timeout:
-        Supervised mode: seconds granted to in-flight leases after a
-        drain request before they are killed and left for ``--resume``.
+        Seconds granted to in-flight leases after a drain request before
+        they are killed and left for ``--resume``.
     batch_size:
         Coalesce up to this many compatible cache-missed queries (same
         :meth:`CertQuery.batch_key`: weights, token count, norm, config,
         search parameters) into one stacked batched propagation per radius
         round. ``1`` — the default — disables coalescing. Batched
-        execution runs in-process and takes precedence over the fork pool
-        (on the workloads it targets the stacked engine beats process
-        parallelism); radii stay bitwise identical either way.
+        execution runs in-process and takes precedence over the worker
+        fleet (on the workloads it targets the stacked engine beats
+        process parallelism); radii stay bitwise identical either way.
     cache_dir:
         Directory for the persistent result cache; ``None`` disables
         memoization entirely.
-    timeout:
-        Per-query seconds to wait for a worker result before the
-        retry/fallback ladder kicks in; ``None`` waits forever.
     journal:
         Optional :class:`~repro.scheduler.journal.RunJournal`. Valid
         journal entries answer their queries without recomputation (they
@@ -140,9 +104,8 @@ class CertScheduler:
     fallbacks, degraded queries).
     """
 
-    def __init__(self, workers=0, cache_dir=None, timeout=None,
-                 journal=None, batch_size=1, supervised=False,
-                 lease_timeout=None, heartbeat_interval=None,
+    def __init__(self, workers=0, cache_dir=None, journal=None,
+                 batch_size=1, lease_timeout=None, heartbeat_interval=None,
                  poison_threshold=2, drain_timeout=30.0):
         if workers < 0:
             raise ValueError("workers must be >= 0")
@@ -150,8 +113,6 @@ class CertScheduler:
             raise ValueError("batch_size must be >= 1")
         self.workers = int(workers)
         self.batch_size = int(batch_size)
-        self.timeout = timeout
-        self.supervised = bool(supervised)
         self.lease_timeout = 30.0 if lease_timeout is None \
             else float(lease_timeout)
         self.heartbeat_interval = 0.5 if heartbeat_interval is None \
@@ -162,6 +123,7 @@ class CertScheduler:
         self.journal = journal
         self.last_stats = None
         self._supervisor = None
+        self._stop_supervisor = None
         self._drain_requested = False
         self._drain_timeout_override = None
 
@@ -180,72 +142,43 @@ class CertScheduler:
             "batches": 0, "batched_queries": 0,
         }
 
-        journaled = self.journal.replay() if self.journal else {}
-        miss_indices = []
-        for index, query in enumerate(queries):
-            entry = journaled.get(query.key())
-            if entry is not None:
-                stats["journal_hits"] += 1
-                outcomes[index] = QueryOutcome(
-                    query=query, radius=float(entry["radius"]),
-                    seconds=float(entry["seconds"]),
-                    perf=entry.get("perf"), source="journal",
-                    degraded=bool(entry.get("degraded", False)),
-                    fallback_chain=tuple(entry.get("fallback_chain") or ()),
-                    fault=entry.get("fault"))
-                if outcomes[index].degraded:
-                    stats["degraded"] += 1
-                continue
-            payload = self.cache.get(query) if self.cache else None
-            if payload is not None:
-                stats["cache_hits"] += 1
-                outcomes[index] = QueryOutcome(
-                    query=query, radius=float(payload["radius"]),
-                    seconds=float(payload["seconds"]),
-                    perf=payload.get("perf"), source="cache",
-                    degraded=bool(payload.get("degraded", False)),
-                    fallback_chain=tuple(payload.get("fallback_chain") or ()),
-                    fault=payload.get("fault"))
-                if outcomes[index].degraded:
-                    stats["degraded"] += 1
-                self._journal_append(outcomes[index])
+        def complete(index, outcome):
+            outcomes[index] = outcome
+            if outcome.degraded:
+                stats["degraded"] += 1
+            if outcome.source in ("cache", "journal"):
+                stats[f"{outcome.source}_hits"] += 1
             else:
-                stats["cache_misses"] += 1
-                miss_indices.append(index)
+                executed = stats["executed"]
+                executed[outcome.source] = \
+                    executed.get(outcome.source, 0) + 1
+            if outcome.source == "worker-retry":
+                stats["retries"] += outcome.attempts - 1
+            commit(outcome, self.cache, self.journal)
 
-        if miss_indices:
-            if self.batch_size > 1 and len(miss_indices) > 1:
-                self._run_batched(model, queries, miss_indices, outcomes,
-                                  stats)
-            elif self.supervised and self.workers > 0 and _fork_available():
-                self._run_supervised(model, queries, miss_indices,
-                                     outcomes, stats)
-            elif self.workers > 0 and len(miss_indices) > 1 \
-                    and _fork_available():
-                self._run_pool(model, queries, miss_indices, outcomes,
-                               stats)
+        journaled = self.journal.replay() if self.journal else {}
+        misses = []
+        for index, query in enumerate(queries):
+            record, source = journaled.get(query.key()), "journal"
+            if record is None and self.cache:
+                record, source = self.cache.get(query), "cache"
+            if record is None:
+                stats["cache_misses"] += 1
+                misses.append(index)
             else:
-                for index in miss_indices:
-                    outcomes[index] = self._run_inprocess(model,
-                                                          queries[index],
-                                                          stats)
-                    self._journal_append(outcomes[index])
-            for index in miss_indices:
-                if outcomes[index].degraded:
-                    stats["degraded"] += 1
-            if self.cache:
-                for index in miss_indices:
-                    outcome = outcomes[index]
-                    if outcome.source == "poisoned":
-                        # Poisoned answers are cached under the rewritten
-                        # IBP query only (done at commit time) — never
-                        # under the original key.
-                        continue
-                    self.cache.put(outcome.query, outcome.radius,
-                                   outcome.seconds, outcome.perf,
-                                   degraded=outcome.degraded,
-                                   fallback_chain=outcome.fallback_chain,
-                                   fault=outcome.fault)
+                complete(index, QueryOutcome.from_record(query, record,
+                                                         source))
+
+        if misses:
+            if self.batch_size > 1 and len(misses) > 1:
+                self._run_batched(model, queries, misses, complete, stats)
+            elif self.workers > 0 and _fork_available():
+                self._run_supervised(model, queries, misses, complete,
+                                     stats)
+            else:
+                for index in misses:
+                    complete(index, self._run_inprocess(model,
+                                                        queries[index]))
 
         if TRACER.enabled:
             # Re-absorb per-query traces (query_scope detached them from
@@ -260,17 +193,8 @@ class CertScheduler:
         self.last_stats = stats
         return outcomes
 
-    def _journal_append(self, outcome):
-        """Durably record one completed outcome in the run journal."""
-        if self.journal is not None and outcome.source != "journal":
-            self.journal.append(outcome.query, outcome.radius,
-                                outcome.seconds, outcome.perf,
-                                outcome.source, degraded=outcome.degraded,
-                                fallback_chain=outcome.fallback_chain,
-                                fault=outcome.fault)
-
     # ------------------------------------------------------------ execution
-    def _run_batched(self, model, queries, miss_indices, outcomes, stats):
+    def _run_batched(self, model, queries, misses, complete, stats):
         """Coalesce compatible misses into stacked batched executions.
 
         Misses group by :meth:`CertQuery.batch_key` (insertion order is
@@ -279,7 +203,7 @@ class CertScheduler:
         in-process path. Non-DeepT queries never coalesce.
         """
         groups = {}
-        for index in miss_indices:
+        for index in misses:
             query = queries[index]
             key = query.batch_key() if query.verifier == "deept" \
                 else ("solo", index)
@@ -288,28 +212,21 @@ class CertScheduler:
             for at in range(0, len(indices), self.batch_size):
                 chunk = indices[at:at + self.batch_size]
                 if len(chunk) == 1:
-                    outcomes[chunk[0]] = self._run_inprocess(
-                        model, queries[chunk[0]], stats)
-                    self._journal_append(outcomes[chunk[0]])
+                    complete(chunk[0], self._run_inprocess(
+                        model, queries[chunk[0]]))
                     continue
-                results = execute_query_batch(
+                payloads = execute_query_batch(
                     model, [queries[index] for index in chunk])
                 stats["batches"] += 1
                 stats["batched_queries"] += len(chunk)
-                for index, (radius, seconds, perf, meta) in zip(chunk,
-                                                                results):
-                    stats["executed"]["batched"] += 1
-                    outcomes[index] = QueryOutcome(
-                        query=queries[index], radius=radius,
-                        seconds=seconds, perf=perf, source="batched",
-                        **meta)
-                    self._journal_append(outcomes[index])
+                for index, payload in zip(chunk, payloads):
+                    complete(index, QueryOutcome.from_payload(
+                        queries[index], payload, "batched"))
 
-    def _run_inprocess(self, model, query, stats):
-        radius, seconds, perf, meta = execute_query(model, query)
-        stats["executed"]["inprocess"] += 1
-        return QueryOutcome(query=query, radius=radius, seconds=seconds,
-                            perf=perf, source="inprocess", **meta)
+    @staticmethod
+    def _run_inprocess(model, query):
+        return QueryOutcome.from_payload(query, execute_query(model, query),
+                                         "inprocess")
 
     # ----------------------------------------------------- supervised pool
     def request_drain(self, timeout=None):
@@ -318,7 +235,7 @@ class CertScheduler:
         The in-flight leases finish (or are killed at the drain
         deadline); :meth:`run` then raises
         :class:`~repro.scheduler.pool.DrainedRun`. Every outcome
-        completed before the drain is already journaled.
+        completed before the drain is already journaled and cached.
         """
         self._drain_requested = True
         self._drain_timeout_override = timeout
@@ -326,15 +243,22 @@ class CertScheduler:
             self._supervisor.request_drain(timeout)
 
     def close(self):
-        """Terminate the supervised worker fleet, if one was started."""
-        if self._supervisor is not None:
-            self._supervisor.stop()
-            self._supervisor = None
+        """Terminate the worker fleet, if one was started."""
+        if self._stop_supervisor is not None:
+            self._stop_supervisor()
+        self._supervisor = None
+        self._stop_supervisor = None
 
     def _ensure_supervisor(self, model):
-        """Lazily build the fleet; ``None`` when it cannot be created."""
+        """The fleet serving ``model``; ``None`` when it cannot be created.
+
+        Workers inherit the model at fork time, so a run against a
+        different model replaces the fleet.
+        """
         if self._supervisor is not None:
-            return self._supervisor
+            if self._supervisor.model is model:
+                return self._supervisor
+            self.close()
         try:
             context = multiprocessing.get_context("fork")
             supervisor = WorkerSupervisor(
@@ -349,58 +273,31 @@ class CertScheduler:
         if self._drain_requested:
             supervisor.request_drain(self._drain_timeout_override)
         self._supervisor = supervisor
+        # Stop the fleet when the scheduler is dropped without close(),
+        # so idle workers never outlive their owner.
+        self._stop_supervisor = weakref.finalize(self, supervisor.stop)
         return supervisor
 
-    def _run_supervised(self, model, queries, miss_indices, outcomes,
-                        stats):
+    def _run_supervised(self, model, queries, misses, complete, stats):
         """Route misses through the supervised leased-worker fleet.
 
-        Outcomes commit (and journal) incrementally through the
+        Outcomes complete (and commit) incrementally through the
         supervisor's ``on_result`` hook, so a drained or killed run keeps
-        everything that completed. Poisoned results journal and cache
-        under the rewritten IBP query; the outcome slot keeps the
-        *original* query so callers see which submission degraded.
+        everything that finished. A poisoned outcome keeps the *original*
+        query, so callers see which submission degraded; it commits under
+        its rewritten IBP ``executed_query``.
         """
         supervisor = self._ensure_supervisor(model)
         if supervisor is None:
             stats["fallbacks"] += 1
-            for index in miss_indices:
-                outcomes[index] = self._run_inprocess(model, queries[index],
-                                                      stats)
-                self._journal_append(outcomes[index])
+            for index in misses:
+                complete(index, self._run_inprocess(model, queries[index]))
             return
-
-        def on_result(result):
-            source = result.source
-            stats["executed"][source] = \
-                stats["executed"].get(source, 0) + 1
-            if result.attempts > 1 and source == "worker-retry":
-                stats["retries"] += result.attempts - 1
-            outcome = QueryOutcome(
-                query=result.query, radius=result.radius,
-                seconds=result.seconds, perf=result.perf,
-                source=source, **result.meta)
-            outcomes[miss_indices[result.index]] = outcome
-            if result.poisoned:
-                twin_outcome = QueryOutcome(
-                    query=result.executed_query, radius=result.radius,
-                    seconds=result.seconds, perf=result.perf,
-                    source=source, **result.meta)
-                self._journal_append(twin_outcome)
-                if self.cache:
-                    self.cache.put(
-                        twin_outcome.query, twin_outcome.radius,
-                        twin_outcome.seconds, twin_outcome.perf,
-                        degraded=twin_outcome.degraded,
-                        fallback_chain=twin_outcome.fallback_chain,
-                        fault=twin_outcome.fault)
-            else:
-                self._journal_append(outcome)
-
         before = dict(supervisor.stats)
         try:
-            supervisor.run([queries[index] for index in miss_indices],
-                           on_result=on_result)
+            supervisor.run([queries[index] for index in misses],
+                           on_result=lambda i, outcome:
+                           complete(misses[i], outcome))
         finally:
             stats["supervised"] = {
                 key: supervisor.stats[key] - before.get(key, 0)
@@ -408,48 +305,3 @@ class CertScheduler:
             if supervisor.drain_seconds is not None:
                 stats["supervised"]["drain_seconds"] = \
                     supervisor.drain_seconds
-
-    def _run_pool(self, model, queries, miss_indices, outcomes, stats):
-        """Fan misses across a fork pool; never raises — falls back."""
-        context = multiprocessing.get_context("fork")
-        try:
-            pool = context.Pool(min(self.workers, len(miss_indices)),
-                                initializer=_pool_init, initargs=(model,))
-        except Exception:
-            stats["fallbacks"] += 1
-            for index in miss_indices:
-                outcomes[index] = self._run_inprocess(model, queries[index],
-                                                      stats)
-                self._journal_append(outcomes[index])
-            return
-        try:
-            handles = [pool.apply_async(_pool_run, (queries[index],))
-                       for index in miss_indices]
-            for index, handle in zip(miss_indices, handles):
-                outcomes[index] = self._collect(pool, model, queries[index],
-                                                handle, stats)
-                self._journal_append(outcomes[index])
-        finally:
-            pool.terminate()
-            pool.join()
-
-    def _collect(self, pool, model, query, handle, stats):
-        """One result, through the timeout → retry → in-process ladder."""
-        try:
-            radius, seconds, perf, meta = handle.get(self.timeout)
-            stats["executed"]["worker"] += 1
-            return QueryOutcome(query=query, radius=radius,
-                                seconds=seconds, perf=perf, source="worker",
-                                **meta)
-        except Exception:
-            stats["retries"] += 1
-        try:
-            retry = pool.apply_async(_pool_run, (query,))
-            radius, seconds, perf, meta = retry.get(self.timeout)
-            stats["executed"]["worker-retry"] += 1
-            return QueryOutcome(query=query, radius=radius,
-                                seconds=seconds, perf=perf,
-                                source="worker-retry", **meta)
-        except Exception:
-            stats["fallbacks"] += 1
-            return self._run_inprocess(model, query, stats)

@@ -1,34 +1,29 @@
-"""Query execution: the pure radius computation plus fork-pool glue.
+"""Query execution: the pure radius computation.
 
 :func:`execute_query` is a *pure function* of (model weights, query): it
 reruns the exact binary search the serial harness ran — same verifier
 construction, same true-label computation, same bracketing parameters — so
 a query's certified radius is bitwise identical whether it is computed in
-the parent process, in a pool worker, or replayed from a previous run.
-That determinism is what makes the scheduler's result cache and its
-serial-vs-parallel equivalence guarantee sound.
+the parent process, in a supervised pool worker, or replayed from a
+previous run. That determinism is what makes the scheduler's result cache
+and its serial-vs-parallel equivalence guarantee sound.
 
-Pool workers receive the model once, through the fork-context pool
-initializer (fork inherits the parent's memory, so no per-query model
-pickling), and reset the process-global :data:`repro.perf.PERF` on start
-so each worker's snapshots cover only its own queries. Every executed
-query returns ``(radius, seconds, perf_snapshot, meta)`` where ``meta``
-records whether any certification in the binary search degraded down the
-verifier's fallback ladder; the parent merges the snapshots via
-:meth:`PerfRecorder.merge` in deterministic key order.
+Every executed query returns ``(radius, seconds, perf_snapshot, meta)``
+where ``meta`` records whether any certification in the binary search
+degraded down the verifier's fallback ladder. The tuple is also the
+worker pipe payload; callers turn it into a
+:class:`~repro.scheduler.outcome.QueryOutcome` and merge the snapshots
+via :meth:`PerfRecorder.merge` in deterministic key order.
 """
 
 from __future__ import annotations
 
 import time
 
-from ..faults import fault_worker_entry
 from ..perf import PERF
 from ..trace import TRACER
 
 __all__ = ["execute_query", "execute_query_batch"]
-
-_WORKER_MODEL = None
 
 
 def _build_verifier(model, query):
@@ -156,20 +151,3 @@ def execute_query_batch(model, queries):
         results.append((radius, seconds, perf if i == 0 else None, meta))
     return results
 
-
-def _pool_init(model):
-    """Pool initializer: adopt the forked model, start a clean recorder."""
-    global _WORKER_MODEL
-    _WORKER_MODEL = model
-    PERF.reset()
-    TRACER.reset()
-
-
-def _pool_run(query):
-    """Pool task: execute one query against the worker's model."""
-    # Chaos hook (no-op without an active REPRO_FAULT_PLAN): lets the fault
-    # harness kill or stall this worker at query start, exercising the
-    # parent's timeout -> retry -> in-process ladder. Deliberately only on
-    # the pool path — an injected kill must never take down the parent.
-    fault_worker_entry()
-    return execute_query(_WORKER_MODEL, query)

@@ -27,11 +27,14 @@ answers them with certified radii. The request path, in order:
    every waiter resolves with a done, degraded or typed-error payload —
    never a hang.
 
-Completed outcomes flow through the result cache and the run journal keyed
-by the query that actually executed — a degraded answer lives under the
-degraded query's key, so it can never impersonate the full-precision
-result — and a restart with ``resume=True`` replays the journal so
-previously answered queries are served without recomputation.
+Every answer is a :class:`~repro.scheduler.outcome.QueryOutcome`; it
+becomes a JSON payload in one place (:meth:`CertService._finish`) and
+flows through the result cache and the run journal via
+:func:`~repro.scheduler.outcome.commit`, keyed by the query that actually
+executed — a degraded answer lives under the degraded query's key, so it
+can never impersonate the full-precision result — and a restart with
+``resume=True`` replays the journal so previously answered queries are
+served without recomputation.
 
 Concurrency note: query execution is deliberately serialized on one
 executor thread. The engine is single-core CPU-bound numpy, and the
@@ -66,6 +69,7 @@ from ..faults import fault_service_entry
 from ..perf import PerfRecorder
 from ..scheduler.cache import ResultCache
 from ..scheduler.journal import RunJournal
+from ..scheduler.outcome import QueryOutcome, commit
 from ..scheduler.pool import WorkerSupervisor
 from ..scheduler.queries import model_weight_hash
 from ..scheduler.worker import execute_query, execute_query_batch
@@ -172,12 +176,9 @@ class CertService:
 
         if self.journal is not None:
             for key, entry in self.journal.replay().items():
-                self._results[key] = outcome_payload(
-                    key, radius=entry["radius"], seconds=entry["seconds"],
-                    source="journal", tenant=None, qos_rung=None,
-                    degraded=entry.get("degraded", False),
-                    fallback_chain=entry.get("fallback_chain") or (),
-                    fault=entry.get("fault"))
+                self._results[key] = self._payload(
+                    key, QueryOutcome.from_record(None, entry, "journal"),
+                    tenant=None, qos_rung=None)
                 self._count("journal_seeded")
 
     # ------------------------------------------------------------- lifecycle
@@ -346,16 +347,9 @@ class CertService:
             cached = self.cache.get(query)
             if cached is not None:
                 self._count("cache_hits")
-                payload = outcome_payload(
-                    key, radius=cached["radius"],
-                    seconds=cached["seconds"], source="cache",
-                    tenant=tenant, qos_rung=rung_for_query(query),
-                    degraded=cached.get("degraded", False),
-                    fallback_chain=cached.get("fallback_chain") or (),
-                    fault=cached.get("fault"))
-                self._finish(key, payload, query=query,
-                             journal_source="cache", write_cache=False)
-                return payload
+                return self._finish(
+                    key, QueryOutcome.from_record(query, cached, "cache"),
+                    tenant=tenant, qos_rung=rung_for_query(query))
             if count_miss:
                 self._count("cache_misses")
         return None
@@ -455,7 +449,7 @@ class CertService:
 
     # ------------------------------------------------------------- execution
     def _run_queries(self, queries):
-        """Executor-thread entry: the pure engine call (chaos-hooked).
+        """Executor-thread entry: the queries' outcomes (chaos-hooked).
 
         Supervised mode routes through the worker fleet instead — there
         the chaos entry hook is consulted parent-side per lease
@@ -467,8 +461,12 @@ class CertService:
             return self._supervisor.run_batch(queries)
         fault_service_entry()
         if len(queries) == 1:
-            return [execute_query(self.model, queries[0])]
-        return execute_query_batch(self.model, queries)
+            return [QueryOutcome.from_payload(
+                queries[0], execute_query(self.model, queries[0]),
+                "executed")]
+        return [QueryOutcome.from_payload(query, payload, "batched")
+                for query, payload in zip(
+                    queries, execute_query_batch(self.model, queries))]
 
     async def _execute(self, batch):
         now = self._now()
@@ -477,7 +475,7 @@ class CertService:
             entry.started_at = now
         queries = [entry.query for entry in batch]
         try:
-            results = await asyncio.wait_for(
+            outcomes = await asyncio.wait_for(
                 self._loop.run_in_executor(self._executor,
                                            self._run_queries, queries),
                 timeout=self.config.query_timeout)
@@ -494,69 +492,27 @@ class CertService:
             self._count("coalesced_batches")
             self._count("coalesced_queries", len(batch))
         self._count("executed_queries", len(batch))
-        if self._supervisor is not None:
-            self._finish_pool_results(batch, results)
-            return
-        for entry, (radius, seconds, perf, meta) in zip(batch, results):
-            key = entry.query.key()
-            payload = outcome_payload(
-                key, radius=radius, seconds=seconds,
-                source="batched" if len(batch) > 1 else "executed",
-                tenant=entry.tenant, qos_rung=entry.rung,
-                degraded=meta.get("degraded", False),
-                fallback_chain=meta.get("fallback_chain") or (),
-                fault=meta.get("fault"))
-            self._finish(key, payload, query=entry.query,
-                         journal_source=payload["source"], perf=perf,
-                         entry=entry)
-
-    def _finish_pool_results(self, batch, results):
-        """Commit supervised-pool results; poisoned ones mirror rescue.
-
-        A poisoned answer came from the IBP floor under the rewritten
-        query — it is cached/journaled under *that* key only (the
-        in-memory result map serves it for the original key, flagged
-        degraded with the ``PoisonedQueryError`` detail), exactly the
-        rescue rung's impersonation rule.
-        """
-        for entry, result in zip(batch, results):
-            key = entry.query.key()
-            meta = result.meta
-            if result.poisoned:
+        for entry, outcome in zip(batch, outcomes):
+            rung = entry.rung
+            if outcome.source == "poisoned":
+                # Quarantined to the IBP floor by the supervised pool:
+                # the rescue rung's impersonation rule, applied by commit.
                 self._count("poisoned_queries")
                 self.tenants.count(entry.tenant, "poisoned")
-                payload = outcome_payload(
-                    key, radius=result.radius, seconds=result.seconds,
-                    source="poisoned", tenant=entry.tenant,
-                    qos_rung="ibp", degraded=True,
-                    fallback_chain=meta.get("fallback_chain") or (),
-                    fault=meta.get("fault"))
-                self._finish(key, payload, query=result.executed_query,
-                             journal_source="poisoned", perf=result.perf,
-                             entry=entry)
-                continue
-            if result.source == "worker-retry":
+                rung = "ibp"
+            elif outcome.source == "worker-retry":
                 self._count("requeued_leases_served")
-            payload = outcome_payload(
-                key, radius=result.radius, seconds=result.seconds,
-                source=result.source, tenant=entry.tenant,
-                qos_rung=entry.rung,
-                degraded=meta.get("degraded", False),
-                fallback_chain=meta.get("fallback_chain") or (),
-                fault=meta.get("fault"))
-            self._finish(key, payload, query=entry.query,
-                         journal_source=result.source, perf=result.perf,
-                         entry=entry)
+            self._finish(entry.query.key(), outcome, tenant=entry.tenant,
+                         qos_rung=rung, entry=entry)
 
     async def _rescue(self, batch, reason):
         """Degraded-or-error: every waiter of a failed batch resolves.
 
         Each query is retried once on the IBP floor — on a dedicated
         executor thread, so a stalled primary execution cannot block
-        recovery, and without the chaos entry hook (mirroring the
-        scheduler, whose in-process fallback also bypasses
-        ``fault_worker_entry``). Queries already at the floor, or whose
-        rescue also fails, resolve with a typed error payload.
+        recovery, and without the chaos entry hook. Queries already at
+        the floor, or whose rescue also fails, resolve with a typed error
+        payload.
         """
         for entry in batch:
             key = entry.query.key()
@@ -565,7 +521,7 @@ class CertService:
                 continue
             rescue_query = degrade_query(entry.query, "ibp")
             try:
-                radius, seconds, perf, meta = await asyncio.wait_for(
+                payload = await asyncio.wait_for(
                     self._loop.run_in_executor(
                         self._rescue_executor, execute_query, self.model,
                         rescue_query),
@@ -574,17 +530,16 @@ class CertService:
                 self._fail(entry, key, reason)
                 continue
             self._count("rescued_queries")
-            payload = outcome_payload(
-                key, radius=radius, seconds=seconds, source="rescue",
-                tenant=entry.tenant, qos_rung="ibp", degraded=True,
-                fallback_chain=(entry.rung, "ibp"), fault=reason,
-                rescued=reason)
-            # Cache/journal under the *rescue* query's key — an IBP
-            # radius must never be replayable as the original query's
-            # answer; only this process's in-memory result map (where the
-            # payload is flagged degraded) serves it for the original key.
-            self._finish(key, payload, query=rescue_query,
-                         journal_source="rescue", perf=perf, entry=entry)
+            # Committed under the *rescue* query's key — an IBP radius must
+            # never be replayable as the original query's answer; only
+            # this process's in-memory result map (where the payload is
+            # flagged degraded) serves it for the original key.
+            outcome = QueryOutcome.from_payload(
+                entry.query, payload, "rescue", executed_query=rescue_query,
+                degraded=True, fallback_chain=(entry.rung, "ibp"),
+                fault=reason)
+            self._finish(key, outcome, tenant=entry.tenant, qos_rung="ibp",
+                         entry=entry, rescued=reason)
 
     def _fail(self, entry, key, reason, code="execution-failed"):
         self._count("failed_queries")
@@ -597,31 +552,32 @@ class CertService:
         if not entry.future.done():
             entry.future.set_result(payload)
 
-    def _finish(self, key, payload, query, journal_source, perf=None,
-                write_cache=True, entry=None):
+    @staticmethod
+    def _payload(key, outcome, tenant, qos_rung, rescued=None):
+        """The ``done`` JSON payload of one outcome, served under ``key``."""
+        return outcome_payload(
+            key, radius=outcome.radius, seconds=outcome.seconds,
+            source=outcome.source, tenant=tenant, qos_rung=qos_rung,
+            degraded=outcome.degraded, fallback_chain=outcome.fallback_chain,
+            fault=outcome.fault, rescued=rescued)
+
+    def _finish(self, key, outcome, tenant, qos_rung, entry=None,
+                rescued=None):
         """Record one sound outcome: memory, cache, journal, waiters."""
+        payload = self._payload(key, outcome, tenant, qos_rung, rescued)
         self._results[key] = payload
         if entry is None:
             entry = self._inflight.get(key)
         self._inflight.pop(key, None)
         self._count("completed")
-        if perf:
-            self._perf.merge(perf)
+        if outcome.perf:
+            self._perf.merge(outcome.perf)
         if entry is not None:
             self.tenants.count(entry.tenant, "completed")
             if not entry.future.done():
                 entry.future.set_result(payload)
-        if write_cache and self.cache is not None:
-            self.cache.put(query, payload["radius"], payload["seconds"],
-                           perf, degraded=payload["degraded"],
-                           fallback_chain=payload["fallback_chain"],
-                           fault=payload["fault"])
-        if self.journal is not None:
-            self.journal.append(query, payload["radius"],
-                                payload["seconds"], perf, journal_source,
-                                degraded=payload["degraded"],
-                                fallback_chain=payload["fallback_chain"],
-                                fault=payload["fault"])
+        commit(outcome, self.cache, self.journal)
+        return payload
 
     # ------------------------------------------------------------------ drain
     async def drain(self, reason="drain requested"):

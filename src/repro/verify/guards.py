@@ -91,22 +91,14 @@ class PropagationGuard:
         active batch scope whose ledger frontier matches the zonotope, the
         budget is applied to each query's *live* symbol count — a stacked
         pass never trips earlier than its serial equivalents would.
-    stride:
-        Run the full finiteness pass only on every ``stride``-th
-        invocation; the O(1) symbol-budget comparison still runs on every
-        call. The default of 1 preserves the original trip semantics
-        exactly (every stage fully checked).
 
     ``checks`` and ``trips`` count invocations and violations; a tripped
     guard raises, so ``trips`` is 0 or 1 per propagation unless the caller
     swallows the error.
     """
 
-    def __init__(self, symbol_budget=None, stride=1):
-        if stride < 1:
-            raise ValueError("guard stride must be >= 1")
+    def __init__(self, symbol_budget=None):
         self.symbol_budget = symbol_budget
-        self.stride = stride
         self.checks = 0
         self.trips = 0
 
@@ -127,22 +119,21 @@ class PropagationGuard:
         checked and no per-variable mass vector is allocated.
         """
         self.checks += 1
-        if (self.checks - 1) % self.stride == 0:
-            if not self._finite(z.center):
+        if not self._finite(z.center):
+            self._trip(NumericalBlowupError, stage,
+                       "non-finite zonotope center")
+        if z.n_phi and not self._finite(z.phi):
+            self._trip(NumericalBlowupError, stage,
+                       "non-finite phi coefficients")
+        if z.n_eps:
+            if not self._finite(z._dense_rows()):
                 self._trip(NumericalBlowupError, stage,
-                           "non-finite zonotope center")
-            if z.n_phi and not self._finite(z.phi):
+                           "non-finite eps coefficients")
+            tail = z._eps_tail
+            if tail is not None and len(tail) \
+                    and not self._finite(tail.mag):
                 self._trip(NumericalBlowupError, stage,
-                           "non-finite phi coefficients")
-            if z.n_eps:
-                if not self._finite(z._dense_rows()):
-                    self._trip(NumericalBlowupError, stage,
-                               "non-finite eps coefficients")
-                tail = z._eps_tail
-                if tail is not None and len(tail) \
-                        and not self._finite(tail.mag):
-                    self._trip(NumericalBlowupError, stage,
-                               "non-finite eps tail magnitudes")
+                           "non-finite eps tail magnitudes")
         if self.symbol_budget is not None and z.n_eps > self.symbol_budget:
             ledger = active_batch()
             if ledger is not None and ledger.count == z.n_eps:

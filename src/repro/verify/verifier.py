@@ -151,8 +151,7 @@ class DeepTVerifier:
 
     def _certify_region_once(self, region, true_label, config):
         """One guarded zonotope propagation + margin check (no retry)."""
-        guard = PropagationGuard(symbol_budget=config.symbol_budget,
-                                 stride=config.guard_stride) \
+        guard = PropagationGuard(symbol_budget=config.symbol_budget) \
             if config.guards else None
         with PERF.stage("propagation"), guard_scope(guard):
             logits = propagate_classifier(self.model, region, config)
@@ -209,8 +208,7 @@ class DeepTVerifier:
         """One stacked guarded propagation; per-query worst margins."""
         from ..zonotope import batch_scope, batched_margins, stack_regions
         stacked, ledger = stack_regions(regions)
-        guard = PropagationGuard(symbol_budget=config.symbol_budget,
-                                 stride=config.guard_stride) \
+        guard = PropagationGuard(symbol_budget=config.symbol_budget) \
             if config.guards else None
         with batch_scope(ledger):
             with PERF.stage("propagation"), guard_scope(guard):

@@ -138,6 +138,21 @@ class TestDegradeQuery:
         assert degrade_query(floor, "ibp") is floor
         assert degrade_query(floor, "fast") is floor  # never back up
 
+    def test_fast_query_with_refinement_plan_is_full_work(self):
+        """A plan runs precise passes: the query sits at "full", and the
+        fast rung strips the plan under a new key. Admission, pool poison
+        and service rescue share this one classifier."""
+        from repro.scheduler import rungs
+        assert rungs.rung_for_query is rung_for_query
+        assert rungs.degrade_query is degrade_query
+        query = _query(config=verifier_config_items(VerifierConfig(
+            dot_product_variant="fast", refinement_plan=(("precise", 0),))))
+        assert rung_for_query(query) == "full"
+        fast = degrade_query(query, "fast")
+        assert dict(fast.config)["refinement_plan"] == ()
+        assert fast.key() != query.key()
+        assert rung_for_query(fast) == "fast"
+
     def test_crown_queries_have_no_fast_rung(self):
         crown = _query(verifier="crown", config=(("backsub_depth", 10),))
         assert degrade_query(crown, "fast") is crown

@@ -14,7 +14,7 @@ import pytest
 from repro.faults import (FaultInjector, FaultPlan, KILL_EXIT_CODE,
                           active_injector, fault_zonotope,
                           install_fault_plan, reset_fault_state)
-from repro.scheduler import CertScheduler, ResultCache, expand_word_queries
+from repro.scheduler import ResultCache
 from repro.trace import TRACER
 from repro.verify import (DeepTVerifier, FAST, PRECISE,
                           word_perturbation_region)
@@ -177,30 +177,6 @@ class TestTraceChaos:
             verifier.certify_region(region, true_label)
         events = {"fault-injected", "degradation-hop", "guard-trip"}
         assert not [s for s in tracer.spans if s["op"] in events]
-
-
-class TestSchedulerChaos:
-    """Worker kills and stalls: the parent's timeout -> retry -> in-process
-    ladder must still produce every radius, bitwise equal to serial."""
-
-    @pytest.fixture(scope="class")
-    def queries(self, tiny_model, tiny_sentence):
-        return expand_word_queries(
-            tiny_model, [tiny_sentence], 2.0, verifier="deept",
-            config=FAST(noise_symbol_cap=64), n_positions=2,
-            n_iterations=3)
-
-    def test_killed_workers_fall_back_to_inprocess(self, tiny_model,
-                                                   queries):
-        serial = CertScheduler(workers=0).run(tiny_model, queries)
-        scheduler = CertScheduler(workers=2, timeout=5.0)
-        with install_fault_plan(FaultPlan(kind="kill-worker", seed=SEED)):
-            chaotic = scheduler.run(tiny_model, queries)
-        assert [o.radius for o in chaotic] == [o.radius for o in serial]
-        stats = scheduler.last_stats
-        assert stats["retries"] >= 1
-        assert stats["fallbacks"] >= 1
-        assert all(o.source == "inprocess" for o in chaotic)
 
 
 class TestCacheChaos:

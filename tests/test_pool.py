@@ -1,6 +1,6 @@
 """Tests for the supervised execution pool: leases, heartbeats, requeue,
 poison quarantine, drain, and the scheduler integration behind
-``supervised=True``.
+``workers > 0``.
 
 Everything runs against the real fork-based fleet on the tiny model (each
 query is a 3-iteration binary search, sub-second), with faults injected
@@ -9,6 +9,7 @@ so the seeded accounting stays deterministic.
 """
 
 import dataclasses
+import gc
 import json
 import multiprocessing
 import threading
@@ -18,9 +19,10 @@ import pytest
 
 from repro.faults import FaultPlan, install_fault_plan
 from repro.scheduler import (CertScheduler, DrainedRun, PoisonedQueryError,
-                             RunJournal, WorkerSupervisor,
+                             QueryOutcome, RunJournal, WorkerSupervisor,
                              expand_word_queries)
-from repro.scheduler.pool import PoolResult
+from repro.scheduler.queries import verifier_config_items
+from repro.scheduler.rungs import degrade_query
 from repro.verify import FAST
 
 pytestmark = pytest.mark.skipif(
@@ -46,7 +48,7 @@ def serial_outcomes(tiny_model, queries):
 
 
 def _supervised(**overrides):
-    kwargs = dict(workers=2, supervised=True, lease_timeout=10.0,
+    kwargs = dict(workers=2, lease_timeout=10.0,
                   heartbeat_interval=0.1)
     kwargs.update(overrides)
     return CertScheduler(**kwargs)
@@ -81,6 +83,23 @@ class TestSupervisedMatchesSerial:
         radii = [o.radius for o in first + second]
         assert radii == [o.radius for o in serial_outcomes]
         assert scheduler.last_stats["supervised"]["respawns"] == 0
+
+    def test_fleet_follows_the_model(self, tiny_model, tiny_model_std_norm,
+                                     sentences, queries):
+        """Workers inherit the model at fork: a run against a second model
+        must be served by that model, not the first run's fleet."""
+        other = expand_word_queries(
+            tiny_model_std_norm, sentences, 2.0, verifier="deept",
+            config=FAST(noise_symbol_cap=64), n_positions=2,
+            n_iterations=3)
+        scheduler = _supervised()
+        try:
+            scheduler.run(tiny_model, queries[:1])
+            outcomes = scheduler.run(tiny_model_std_norm, other)
+        finally:
+            scheduler.close()
+        serial = CertScheduler(workers=0).run(tiny_model_std_norm, other)
+        assert [o.radius for o in outcomes] == [o.radius for o in serial]
 
 
 class TestLeaseRequeue:
@@ -234,6 +253,25 @@ class TestPoisonQuarantine:
         assert after["leases"] == before["leases"]  # no new lease
         assert after["worker_deaths"] == before["worker_deaths"]
 
+    def test_poisoned_fast_query_with_plan_reports_full_rung(
+            self, tiny_model, queries):
+        """A fast query carrying a refinement plan is "full" work; its
+        quarantine chain says so, and the answer ran as the IBP twin."""
+        planned = dataclasses.replace(queries[0], config=verifier_config_items(
+            FAST(noise_symbol_cap=64, refinement_plan=(("precise", 0),))))
+        plan = FaultPlan(kind="kill-worker", probability=0.0, max_faults=0,
+                         seed=0, poison_key=planned.key())
+        scheduler = _supervised()
+        try:
+            with install_fault_plan(plan):
+                [outcome] = scheduler.run(tiny_model, [planned])
+        finally:
+            scheduler.close()
+        assert outcome.source == "poisoned"
+        assert outcome.fallback_chain == ("full", "ibp")
+        assert outcome.query is planned
+        assert outcome.executed_query == degrade_query(planned, "ibp")
+
     def test_poisoned_query_error_detail(self):
         error = PoisonedQueryError("deadbeef" * 8, kills=2)
         assert error.key == "deadbeef" * 8
@@ -295,6 +333,32 @@ class TestDrain:
         assert {r.query.key() for r in completed} <= journaled
         assert not ({q.key() for q in remaining} & journaled)
 
+    def test_drained_run_caches_every_completed_outcome(self, tiny_model,
+                                                        queries, tmp_path):
+        """Outcomes commit to the cache as they complete, so a drain keeps
+        every finished answer memoized, not only journaled."""
+        scheduler = _supervised(cache_dir=str(tmp_path / "cache"),
+                                drain_timeout=10.0)
+        many = [dataclasses.replace(q, n_iterations=3 + i // len(queries))
+                for i, q in enumerate(queries * 4)]
+        timer = threading.Timer(0.4, scheduler.request_drain)
+        timer.start()
+        try:
+            with pytest.raises(DrainedRun) as drained:
+                scheduler.run(tiny_model, many)
+        finally:
+            timer.cancel()
+            scheduler.close()
+        completed = [o for o in drained.value.completed
+                     if o.source != "poisoned"]
+        assert completed
+        for outcome in completed:
+            cached = scheduler.cache.get(outcome.query)
+            assert cached is not None, outcome.query.describe()
+            assert cached["radius"] == outcome.radius
+        assert all(scheduler.cache.get(q) is None
+                   for q in drained.value.remaining)
+
     def test_resume_after_drain_recomputes_only_the_remainder(
             self, tiny_model, queries, tmp_path):
         journal_path = str(tmp_path / "journal.jsonl")
@@ -313,7 +377,7 @@ class TestDrain:
         n_completed = len(drained.value.completed)
 
         resumed = CertScheduler(
-            workers=2, supervised=True, lease_timeout=10.0,
+            workers=2, lease_timeout=10.0,
             heartbeat_interval=0.1,
             journal=RunJournal(journal_path, resume=True))
         try:
@@ -354,7 +418,7 @@ class TestSupervisorEdges:
             stats = dict(supervisor.stats)
         finally:
             supervisor.stop()
-        assert isinstance(results[0], PoolResult)
+        assert isinstance(results[0], QueryOutcome)
         assert results[0].source == "worker-retry"
         assert results[0].attempts == 2
         assert stats["errored_leases"] == 1
@@ -362,6 +426,22 @@ class TestSupervisorEdges:
         assert stats["respawns"] == 0
         reference = CertScheduler(workers=0).run(tiny_model, [queries[0]])
         assert results[0].radius == reference[0].radius
+
+    def test_dropped_scheduler_stops_its_fleet(self, tiny_model, queries):
+        """A scheduler that is dropped without close() takes its workers
+        with it: no idle cert-pool-* child outlives its owner."""
+        def fleet():
+            return {p.pid for p in multiprocessing.active_children()
+                    if p.name.startswith("cert-pool-")}
+
+        before = fleet()
+        scheduler = CertScheduler(workers=2)
+        scheduler.run(tiny_model, queries[:2])
+        ours = fleet() - before
+        assert len(ours) == 2
+        del scheduler
+        gc.collect()
+        assert not ours & fleet()
 
     def test_supervisor_requires_at_least_one_worker(self, tiny_model):
         with pytest.raises(ValueError):
@@ -381,7 +461,7 @@ class TestSupervisorEdges:
                 return ["fork"]
 
         monkeypatch.setattr(sched_mod, "multiprocessing", BrokenContext())
-        scheduler = CertScheduler(workers=2, supervised=True)
+        scheduler = CertScheduler(workers=2)
         outcomes = scheduler.run(tiny_model, queries[:2])
         assert all(o.source == "inprocess" for o in outcomes)
         assert scheduler.last_stats["fallbacks"] == 1
